@@ -1,6 +1,6 @@
 // Microbenchmarks A4: max-flow solver throughput on Even-transformed
-// Kademlia-like connectivity graphs — justifies substituting our
-// push-relabel/Dinic for the paper's HIPR, and quantifies the analysis cost
+// Kademlia-like connectivity graphs — justifies substituting Dinic for the
+// paper's HIPR push-relabel solver, and quantifies the analysis cost
 // model of §5.2. The n=1000 tiers demonstrate the headroom the CSR kernel
 // opened; kernel counters (arcs touched, full resets avoided) land in the
 // Google-Benchmark JSON via state.counters.
@@ -11,7 +11,6 @@
 #include "flow/edmonds_karp.h"
 #include "flow/even_transform.h"
 #include "flow/flow_workspace.h"
-#include "flow/push_relabel.h"
 #include "flow/vertex_connectivity.h"
 #include "graph/digraph.h"
 #include "util/rng.h"
@@ -77,14 +76,10 @@ void solver_bench(benchmark::State& state) {
 }
 
 void BM_Dinic(benchmark::State& state) { solver_bench<flow::Dinic>(state); }
-void BM_PushRelabel(benchmark::State& state) {
-    solver_bench<flow::PushRelabel>(state);
-}
 void BM_EdmondsKarp(benchmark::State& state) {
     solver_bench<flow::EdmondsKarp>(state);
 }
 BENCHMARK(BM_Dinic)->Arg(250)->Arg(500)->Arg(1000);
-BENCHMARK(BM_PushRelabel)->Arg(250)->Arg(500)->Arg(1000);
 BENCHMARK(BM_EdmondsKarp)->Arg(250);
 
 void BM_SampledConnectivity(benchmark::State& state) {

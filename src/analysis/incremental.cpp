@@ -177,7 +177,7 @@ void SnapshotDeltaCache::begin_snapshot(const graph::RoutingSnapshot& snapshot,
 
 void SnapshotDeltaCache::end_snapshot() {
     for (auto* cache : {&kappa_, &lambda_}) {
-        // No lock needed: the sweeps have joined before end_snapshot.
+        // No lock needed: the sweep has joined before end_snapshot.
         for (auto& [key, entry] : cache->pending) {
             cache->committed[key] = std::move(entry);
         }

@@ -20,14 +20,14 @@
 // Lifecycle per snapshot (single analysis in flight at a time):
 //
 //   cache.begin_snapshot(snapshot, graph);   // rebind address maps, prune
-//   κ-sweep with options.reuse = cache.kappa_hook();   // workers race here
-//   λ-sweep with options.reuse = cache.lambda_hook();  // concurrently: fine
+//   flow::kappa_lambda_connectivity(graph, options with
+//       reuse = cache.kappa_hook(), cache.lambda_hook());  // workers race
 //   cache.end_snapshot();                    // commit this sweep's stores
 //
-// During the sweeps, lookups read only the committed (frozen) store and
-// stores append to a mutex-guarded pending buffer, so concurrent workers —
-// and the κ and λ sweeps overlapping — never observe each other's stores:
-// results stay bit-identical for any thread count.
+// During the sweep, lookups read only the committed (frozen) store and
+// stores append to a mutex-guarded pending buffer, so concurrent workers
+// never observe each other's stores: results stay bit-identical for any
+// thread count.
 #ifndef KADSIM_ANALYSIS_INCREMENTAL_H
 #define KADSIM_ANALYSIS_INCREMENTAL_H
 

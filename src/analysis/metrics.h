@@ -1,12 +1,13 @@
 // Multi-metric resilience analysis of one routing-graph snapshot.
 //
 // The paper measures resilience solely as vertex connectivity κ; this layer
-// adds the richer structural measures its framing (and the companion CPS
-// study, plus Ferretti 2013) motivates: sampled edge connectivity λ,
-// strong/weak reachability fractions, articulation points and bridges, and
-// degree summaries. Each measure is a SnapshotMetric; the suite runs
-// per-snapshot on the shared exec::ThreadPool alongside the κ computation,
-// and core::ConnectivityAnalyzer folds the results into ResilienceSample.
+// adds the structural measures its framing (and the companion CPS study,
+// plus Ferretti 2013) motivates: strong/weak reachability fractions,
+// articulation points and bridges, and degree summaries. Each measure is a
+// SnapshotMetric; the suite runs per-snapshot on the shared
+// exec::ThreadPool alongside the κ/λ sweep (flow/sweep.h — λ, the
+// companion study's edge connectivity, shares κ's sampled pairs), and
+// core::ConnectivityAnalyzer folds the results into ResilienceSample.
 //
 // Determinism contract: a metric is a pure function of the snapshot graph —
 // no RNG, no shared mutable state — and writes only the ResilienceMetrics
@@ -25,32 +26,21 @@ namespace kadsim::exec {
 class ThreadPool;
 }  // namespace kadsim::exec
 
-namespace kadsim::flow {
-class PairReuseHook;
-}  // namespace kadsim::flow
-
 namespace kadsim::analysis {
 
 /// What a metric sees: the snapshot's connectivity graph plus the sampling
-/// parameters and execution pool the κ analysis uses (metrics that sample
-/// pairs, like λ, follow the same §5.2 source reduction).
+/// parameters and execution pool the κ/λ analysis uses (a metric that
+/// samples pairs follows the same §5.2 source reduction).
 struct MetricContext {
     const graph::Digraph& g;
     double sample_c = 1.0;
     int min_sources = 1;
     exec::ThreadPool* pool = nullptr;
-    /// Preprocess flow-metric graphs with the Nagamochi–Ibaraki sparse
-    /// certificate (graph/certificate.h); values are unchanged.
-    bool use_certificate = false;
-    /// Cross-snapshot λ reuse hook (analysis/incremental.h), or nullptr.
-    /// Only EdgeConnectivityMetric consumes it; not owned.
-    flow::PairReuseHook* lambda_reuse = nullptr;
 };
 
-/// The metric values of one snapshot (the non-κ half of ResilienceSample).
+/// The metric values of one snapshot (the structural part of
+/// ResilienceSample; κ and λ come from the flow sweep).
 struct ResilienceMetrics {
-    int lambda_min = 0;        ///< sampled edge connectivity λ(D)
-    double lambda_avg = 0.0;   ///< mean λ(u,v) over sampled pairs
     int scc_count = 1;         ///< strongly connected components (1 ⇔ κ>0)
     double scc_frac = 0.0;     ///< largest SCC share of live nodes (strong)
     double wcc_frac = 0.0;     ///< largest weak component share (weak)
@@ -70,16 +60,6 @@ public:
     [[nodiscard]] virtual const char* name() const noexcept = 0;
     virtual void analyze(const MetricContext& context,
                          ResilienceMetrics& out) const = 0;
-};
-
-/// Sampled edge connectivity λ: unit-capacity max-flow per pair on the raw
-/// CSR digraph (no vertex split), c·n smallest-out-degree sources × all
-/// sinks, degree-capped Dinic on a touched-arc-reset workspace
-/// (flow/edge_connectivity.h). Owns lambda_min / lambda_avg.
-class EdgeConnectivityMetric final : public SnapshotMetric {
-public:
-    [[nodiscard]] const char* name() const noexcept override { return "lambda"; }
-    void analyze(const MetricContext& context, ResilienceMetrics& out) const override;
 };
 
 /// Strong reachability: SCC count and the fraction of live nodes inside the

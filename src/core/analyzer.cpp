@@ -5,6 +5,7 @@
 #include <future>
 
 #include "exec/thread_pool.h"
+#include "flow/sweep.h"
 
 namespace kadsim::core {
 
@@ -50,25 +51,19 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
     sample.reciprocity = g.reciprocity();
 
     // Cross-snapshot reuse: rebind the (lazily created) delta cache to this
-    // snapshot and hand its hooks to both flow sweeps. Lookups only read the
-    // store committed by *previous* snapshots, so the κ/λ halves may still
-    // overlap freely below.
+    // snapshot and hand its hooks to the flow sweep. Lookups only read the
+    // store committed by *previous* snapshots.
     if (options_.use_delta && delta_ == nullptr) {
         delta_ = std::make_unique<analysis::SnapshotDeltaCache>();
     }
     if (delta_ != nullptr) delta_->begin_snapshot(snap, g);
 
-    // Fan the metric suite out alongside κ: one task computes the metrics
-    // (which run sequentially inside it — the task is already a pool lane)
-    // while this thread drives the κ flows across the remaining workers.
-    // Both halves are deterministic, so the overlap never changes a value.
-    const analysis::MetricContext context{
-        g,
-        options_.sample_c,
-        options_.min_sources,
-        pool,
-        options_.use_certificate,
-        delta_ != nullptr ? delta_->lambda_hook() : nullptr};
+    // Fan the structure metrics out as one task (they run sequentially
+    // inside it — the task is already a pool lane) while this thread drives
+    // the κ/λ sweep across the pool. Both halves are deterministic, so the
+    // overlap never changes a value.
+    const analysis::MetricContext context{g, options_.sample_c, options_.min_sources,
+                                          pool};
     std::future<analysis::ResilienceMetrics> metrics_future;
     if (pool != nullptr && !exec::ThreadPool::in_worker()) {
         metrics_future =
@@ -76,12 +71,14 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
     }
 
     // The metrics task references this frame's graph, so it must be joined
-    // before any unwind: collect a κ failure, finish the wait, then rethrow.
-    flow::ConnectivityResult r;
+    // before any unwind: collect a sweep failure, finish the wait, then
+    // rethrow.
+    flow::KappaLambdaResult r;
     std::exception_ptr error;
     try {
-        r = analyze_graph(g, pool,
-                          delta_ != nullptr ? delta_->kappa_hook() : nullptr);
+        r = flow::kappa_lambda_connectivity(
+            g, flow_options(pool, delta_ != nullptr ? delta_->kappa_hook() : nullptr),
+            delta_ != nullptr ? delta_->lambda_hook() : nullptr);
     } catch (...) {
         error = std::current_exception();
     }
@@ -95,17 +92,17 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
     } else if (!error) {
         metrics = analysis::run_metrics(context);
     }
-    // Both sweeps have joined: commit this snapshot's witness stores so the
+    // The sweep has joined: commit this snapshot's witness stores so the
     // next snapshot can reuse them (harmless on the error path — stored
     // pairs are revalidated against whichever graph looks them up).
     if (delta_ != nullptr) delta_->end_snapshot();
     if (error) std::rethrow_exception(error);
 
-    sample.kappa_min = r.kappa_min;
-    sample.kappa_avg = r.kappa_avg;
-    sample.pairs_evaluated = r.pairs_evaluated;
-    sample.lambda_min = metrics.lambda_min;
-    sample.lambda_avg = metrics.lambda_avg;
+    sample.kappa_min = r.kappa.kappa_min;
+    sample.kappa_avg = r.kappa.kappa_avg;
+    sample.pairs_evaluated = r.kappa.pairs_evaluated;
+    sample.lambda_min = r.lambda.lambda_min;
+    sample.lambda_avg = r.lambda.lambda_avg;
     // scc_count predates the metric suite; ReachabilityMetric now computes
     // it in the same Tarjan pass as scc_frac (values unchanged — the golden
     // series hashes pin them).
@@ -122,23 +119,19 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
 }
 
 flow::ConnectivityResult ConnectivityAnalyzer::analyze_graph(
-    const graph::Digraph& g, exec::ThreadPool* pool,
-    flow::PairReuseHook* reuse) const {
+    const graph::Digraph& g, exec::ThreadPool* pool) const {
+    return flow::vertex_connectivity(g, flow_options(pool, nullptr));
+}
+
+flow::ConnectivityOptions ConnectivityAnalyzer::flow_options(
+    exec::ThreadPool* pool, flow::PairReuseHook* kappa_reuse) const {
     flow::ConnectivityOptions options;
     options.sample_fraction = options_.sample_c;
     options.min_sources = options_.min_sources;
     options.pool = pool;
-    options.use_push_relabel = options_.use_push_relabel;
     options.use_certificate = options_.use_certificate;
-    options.reuse = reuse;
-    return flow::vertex_connectivity(g, options);
-}
-
-analysis::ResilienceMetrics ConnectivityAnalyzer::analyze_metrics(
-    const graph::Digraph& g, exec::ThreadPool* pool) const {
-    return analysis::run_metrics(analysis::MetricContext{
-        g, options_.sample_c, options_.min_sources, pool,
-        options_.use_certificate});
+    options.reuse = kappa_reuse;
+    return options;
 }
 
 }  // namespace kadsim::core

@@ -1,8 +1,9 @@
 // Resilience analysis pipeline (paper §5.2, extended): routing snapshot →
-// directed connectivity graph → Even transformation → max-flow per vertex
-// pair → κ_min / κ_avg with the paper's c·n source sampling, plus the
-// analysis-layer metric suite (sampled edge connectivity λ, reachability
-// fractions, cut structure, degree floor) fanned out on the same pool.
+// directed connectivity graph → one sampled-pair max-flow sweep giving
+// κ_min / κ_avg with the paper's c·n source sampling and the edge
+// connectivity λ over the same pairs (flow/sweep.h), plus the
+// analysis-layer metric suite (reachability fractions, cut structure,
+// degree floor) fanned out on the same pool.
 #ifndef KADSIM_CORE_ANALYZER_H
 #define KADSIM_CORE_ANALYZER_H
 
@@ -30,10 +31,8 @@ struct AnalyzerOptions {
     /// exec::ThreadPool from this (1 = fully inline); results are
     /// bit-identical for any value.
     int threads = 1;
-    /// Solve with the HIPR-style push-relabel instead of Dinic.
-    bool use_push_relabel = false;
     /// Preprocess each snapshot graph with the Nagamochi–Ibaraki sparse
-    /// certificate before the κ/λ flow sweeps (graph/certificate.h). The
+    /// certificate before the κ/λ flow sweep (graph/certificate.h). The
     /// certificate degree k is chosen above every evaluated pair's cap, so
     /// reported values are bit-identical with or without it.
     bool use_certificate = false;
@@ -61,7 +60,7 @@ struct ResilienceSample {
     /// scenarios read κ degradation against this removal budget).
     std::uint64_t removed_total = 0;
 
-    // --- analysis-layer metrics (src/analysis/metrics.h) -----------------
+    // --- λ (flow/sweep.h) and the analysis-layer metrics ---------------
     int lambda_min = 0;          ///< sampled edge connectivity λ(D)
     double lambda_avg = 0.0;     ///< mean λ(u,v) over sampled pairs
     double scc_frac = 1.0;       ///< largest SCC share of live nodes
@@ -97,8 +96,8 @@ class ConnectivityAnalyzer {
 public:
     explicit ConnectivityAnalyzer(AnalyzerOptions options) : options_(options) {}
 
-    /// Full pipeline on a routing snapshot: κ plus the metric suite. `pool`
-    /// (optional) runs the per-source flow jobs and the per-snapshot metrics
+    /// Full pipeline on a routing snapshot: κ and λ plus the metric suite.
+    /// `pool` (optional) runs the per-source flow jobs and the metrics
     /// on a persistent execution pool instead of inline; results are
     /// bit-identical either way. With options().use_delta, calls must not
     /// overlap and snapshots must arrive in series order (the delta cache
@@ -106,14 +105,8 @@ public:
     [[nodiscard]] ResilienceSample analyze(const graph::RoutingSnapshot& snap,
                                            exec::ThreadPool* pool = nullptr) const;
 
-    /// κ on an already-built connectivity graph. `reuse` (optional, not
-    /// owned) is handed to the kernel as ConnectivityOptions::reuse.
+    /// κ on an already-built connectivity graph.
     [[nodiscard]] flow::ConnectivityResult analyze_graph(
-        const graph::Digraph& g, exec::ThreadPool* pool = nullptr,
-        flow::PairReuseHook* reuse = nullptr) const;
-
-    /// The metric suite on an already-built connectivity graph.
-    [[nodiscard]] analysis::ResilienceMetrics analyze_metrics(
         const graph::Digraph& g, exec::ThreadPool* pool = nullptr) const;
 
     [[nodiscard]] const AnalyzerOptions& options() const noexcept { return options_; }
@@ -125,6 +118,9 @@ public:
     }
 
 private:
+    [[nodiscard]] flow::ConnectivityOptions flow_options(
+        exec::ThreadPool* pool, flow::PairReuseHook* kappa_reuse) const;
+
     AnalyzerOptions options_;
     /// Lazily created on the first analyze() when options_.use_delta; mutable
     /// because the cache is the one piece of cross-call state an otherwise

@@ -4,7 +4,7 @@
 // networks produced by Even's transformation it runs in O(E·√V) and, because
 // κ values are small (≈ k), typically terminates after a handful of phases.
 // The max-flow *value* is unique, so results are interchangeable with the
-// paper's HIPR (push-relabel) — asserted by cross-checking tests.
+// paper's HIPR (push-relabel) — Edmonds–Karp is the cross-checking oracle.
 //
 // The solver itself is stateless: all mutable state (residual capacities,
 // level/iter/queue scratch) lives in the caller's flow::FlowWorkspace, and

@@ -13,9 +13,10 @@
 // because every vertex is a sink the reported λ_min ≤ δ_min is guaranteed
 // even under sampling.
 //
-// Memory model matches the κ kernel: one immutable unit-capacity CSR
-// FlowNetwork shared across workers, per-worker flow::FlowWorkspace with the
-// touched-arc undo log making the per-pair reset O(arcs touched).
+// The sampled sweep runs on the κ/λ engine of flow/sweep.h over one immutable
+// unit-capacity CSR FlowNetwork shared across workers, with a per-worker
+// flow::FlowWorkspace whose touched-arc undo log makes the per-pair reset
+// O(arcs touched).
 #ifndef KADSIM_FLOW_EDGE_CONNECTIVITY_H
 #define KADSIM_FLOW_EDGE_CONNECTIVITY_H
 
@@ -63,8 +64,9 @@ struct EdgeConnectivityResult {
     /// Pairs settled as λ = 0 without a flow run because
     /// min(out_degree(u), in_degree(v)) = 0. Counted in pairs_evaluated too.
     std::uint64_t pairs_skipped = 0;
-    /// Pairs whose capped Dinic run stopped early on reaching the degree
-    /// bound min(out_degree(u), in_degree(v)) — λ is then exactly the bound.
+    /// Pairs settled at the degree bound min(out_degree(u), in_degree(v)),
+    /// which is then exactly λ: by the seeded paths alone, by a capped Dinic
+    /// run stopping early, or — in the combined sweep — by κ at the bound.
     std::uint64_t flows_capped = 0;
     /// Pairs settled from the pair-reuse hook's witness cache (no flow run;
     /// subset of pairs_evaluated). 0 unless options.reuse was set.

@@ -4,7 +4,7 @@
 // A workspace owns exactly the state a solver mutates: the residual arcs
 // (capacity interleaved with the arc head, so the hot BFS/DFS loops touch
 // one cache line per arc probe) and the shared scratch buffers of the
-// Dinic / Edmonds–Karp / push-relabel kernels. Ownership rule: the attached
+// Dinic / Edmonds–Karp kernels. Ownership rule: the attached
 // FlowNetwork must outlive the workspace, many workspaces may attach to one
 // network concurrently, and a workspace must never be shared across threads.
 //
@@ -112,19 +112,10 @@ public:
     /// Bytes held by the residual arcs, undo log and scratch buffers (arena
     /// accounting in benches).
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
-        std::size_t bytes = arcs_.capacity() * sizeof(ResidualArc) +
-                            in_log_.capacity() * sizeof(char) +
-                            touched_.capacity() * sizeof(int) +
-                            level.capacity() * sizeof(int) +
-                            iter.capacity() * sizeof(std::size_t) +
-                            queue.capacity() * sizeof(int) +
-                            parent_arc.capacity() * sizeof(int) +
-                            excess.capacity() * sizeof(long long) +
-                            height.capacity() * sizeof(int) +
-                            height_count.capacity() * sizeof(int) +
-                            active.capacity() * sizeof(std::vector<int>);
-        for (const auto& bucket : active) bytes += bucket.capacity() * sizeof(int);
-        return bytes;
+        return arcs_.capacity() * sizeof(ResidualArc) +
+               in_log_.capacity() * sizeof(char) + touched_.capacity() * sizeof(int) +
+               level.capacity() * sizeof(int) + iter.capacity() * sizeof(std::size_t) +
+               queue.capacity() * sizeof(int) + parent_arc.capacity() * sizeof(int);
     }
 
     // Solver scratch, reused across runs within one workspace. Contents are
@@ -132,13 +123,9 @@ public:
     // uses. Shared here rather than per-solver so a worker evaluating
     // thousands of pairs holds one arena, not one per algorithm instance.
     std::vector<int> level;               // Dinic: BFS levels
-    std::vector<std::size_t> iter;        // Dinic / push-relabel: arc cursors
-    std::vector<int> queue;               // BFS queues (Dinic, EK, relabel)
+    std::vector<std::size_t> iter;        // Dinic: arc cursors
+    std::vector<int> queue;               // BFS queues (Dinic, EK)
     std::vector<int> parent_arc;          // Edmonds–Karp: augmenting path
-    std::vector<long long> excess;        // push-relabel
-    std::vector<int> height;              // push-relabel
-    std::vector<int> height_count;        // push-relabel: gap heuristic
-    std::vector<std::vector<int>> active; // push-relabel: buckets per height
 
 private:
     void touch(int index) {

@@ -4,6 +4,7 @@
 
 #include "flow/dinic.h"
 #include "flow/even_transform.h"
+#include "flow/witness.h"
 #include "util/assert.h"
 
 namespace kadsim::flow {
@@ -39,26 +40,15 @@ std::vector<int> min_vertex_cut(const graph::Digraph& g,
     // Residual reachability from v''. A vertex x is in the cut iff x' is
     // reachable but x'' is not: its internal (capacity-1) arc is saturated
     // and crosses the minimum cut.
-    std::vector<bool> reachable(static_cast<std::size_t>(witness_net.vertex_count()),
-                                false);
-    std::vector<int> queue{out_vertex(v)};
-    reachable[static_cast<std::size_t>(out_vertex(v))] = true;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const int u = queue[head];
-        for (const int arc_index : witness_net.arcs_of(u)) {
-            if (workspace.cap(arc_index) <= 0) continue;
-            const auto to = static_cast<std::size_t>(witness_net.arc_to(arc_index));
-            if (reachable[to]) continue;
-            reachable[to] = true;
-            queue.push_back(witness_net.arc_to(arc_index));
-        }
-    }
+    std::vector<int> reached(static_cast<std::size_t>(witness_net.vertex_count()), 0);
+    std::vector<int> order;
+    residual_reach(workspace, out_vertex(v), 1, reached, order);
 
     std::vector<int> cut;
     for (int x = 0; x < g.vertex_count(); ++x) {
         if (x == v || x == w) continue;
-        if (reachable[static_cast<std::size_t>(in_vertex(x))] &&
-            !reachable[static_cast<std::size_t>(out_vertex(x))]) {
+        if (reached[static_cast<std::size_t>(in_vertex(x))] != 0 &&
+            reached[static_cast<std::size_t>(out_vertex(x))] == 0) {
             cut.push_back(x);
         }
     }

@@ -10,7 +10,8 @@
 // sinks each) finds the true minimum — the authors validated c = 0.02 on 20
 // fully-analyzed graphs; `bench/ablation_sampling_c` re-validates it here.
 //
-// Memory model: the Even-transformed network is built once (immutable CSR)
+// The sampled sweep is the one engine of flow/sweep.h, which also computes
+// λ alongside: the Even-transformed network is built once (immutable CSR)
 // and shared by reference across all workers; each worker owns only a
 // flow::FlowWorkspace whose touched-arc undo log makes the per-pair reset
 // O(arcs touched) instead of O(m+n).
@@ -41,9 +42,6 @@ struct ConnectivityOptions {
     /// inline on the caller; results are bit-identical either way (integer
     /// min/sum aggregation).
     exec::ThreadPool* pool = nullptr;
-    /// Use the HIPR-style push-relabel solver instead of Dinic (results are
-    /// identical; provided for fidelity runs and benchmarking).
-    bool use_push_relabel = false;
     /// Run the flows on a Nagamochi–Ibaraki sparse certificate of the graph
     /// (graph/certificate.h) instead of the full edge set. Source selection,
     /// degree bounds and adjacency exclusion still come from the original
@@ -51,11 +49,9 @@ struct ConnectivityOptions {
     /// pair's degree cap, so every recorded κ is bit-identical to the full
     /// sweep — only the network the solver walks shrinks.
     bool use_certificate = false;
-    /// Cross-snapshot pair-reuse hook (pair_reuse.h); nullptr = off. Pairs
-    /// settled at their degree bound are offered with a disjoint-path
-    /// witness; reused pairs skip the flow run entirely. Witness stores
-    /// need the Dinic solver (ignored under use_push_relabel; lookups still
-    /// apply). Not owned.
+    /// Cross-snapshot pair-reuse hook (pair_reuse.h); nullptr = off. Settled
+    /// pairs are offered with a two-sided witness; reused pairs skip the
+    /// flow run entirely. Not owned.
     PairReuseHook* reuse = nullptr;
 };
 

@@ -60,6 +60,25 @@ void walk_one_path(FlowWorkspace& workspace, const FlowNetwork& net, int s,
 
 }  // namespace
 
+bool residual_reach(const FlowWorkspace& workspace, int s, int epoch,
+                    std::vector<int>& stamp, std::vector<int>& reach,
+                    std::size_t budget) {
+    const FlowNetwork& net = workspace.network();
+    reach.assign(1, s);
+    stamp[static_cast<std::size_t>(s)] = epoch;
+    for (std::size_t head = 0; head < reach.size(); ++head) {
+        for (const int a : net.arcs_of(reach[head])) {
+            if (workspace.cap(a) <= 0) continue;
+            const auto y = static_cast<std::size_t>(net.arc_to(a));
+            if (stamp[y] == epoch) continue;
+            stamp[y] = epoch;
+            reach.push_back(static_cast<int>(y));
+        }
+        if (reach.size() > budget) return false;
+    }
+    return true;
+}
+
 void decompose_even_flow(FlowWorkspace& workspace, int n, int s, int t,
                          int value, std::vector<int>& on_path,
                          std::vector<int>& witness,

@@ -1,9 +1,12 @@
-// Disjoint-path witness extraction from a settled unit flow (kernel
-// internal; used by the κ/λ workers to feed flow::PairReuseHook::store).
+// Witness extraction from a settled unit flow (kernel internal; used by the
+// κ/λ sweep to feed flow::PairReuseHook::store, and by flow/mincut.h).
 //
-// Both routines decompose the integral flow currently held in a workspace
-// into `value` paths by walking positive-flow arcs from the source,
-// consuming one unit per traversed arc via add_flow(arc, -1). Every
+// The cut half: residual reachability from the source of a maximum flow —
+// the saturated arcs leaving the reached set form a minimum cut.
+//
+// The path half: both decompose routines split the integral flow held in a
+// workspace into `value` paths by walking positive-flow arcs from the
+// source, consuming one unit per traversed arc via add_flow(arc, -1). Every
 // traversed arc already carries flow — i.e. is already in the workspace's
 // undo log — so the walk adds no log entries and leaves every kernel
 // counter and the subsequent reset() exactly as they would have been: a
@@ -13,11 +16,22 @@
 #ifndef KADSIM_FLOW_WITNESS_H
 #define KADSIM_FLOW_WITNESS_H
 
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "flow/flow_workspace.h"
 
 namespace kadsim::flow {
+
+/// Every node reachable from `s` over arcs with residual capacity, in BFS
+/// order (starting with s), into `reach`; each is stamped with `epoch` in
+/// `stamp` (caller-owned, sized to the network's node count, no entry
+/// equal to `epoch` on entry). Returns false, leaving a partial walk, once
+/// more than `budget` nodes are reached.
+bool residual_reach(const FlowWorkspace& workspace, int s, int epoch,
+                    std::vector<int>& stamp, std::vector<int>& reach,
+                    std::size_t budget = std::numeric_limits<std::size_t>::max());
 
 /// Decomposes the κ = `value` flow of an Even-transformed network
 /// (even_transform.h; n original vertices, s = out_vertex(u),

@@ -10,7 +10,6 @@
 #include "fault/fault_model.h"
 #include "kad/node_arena.h"
 #include "sim/periodic.h"
-#include "util/logging.h"
 
 namespace kadsim::scen {
 

@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -85,14 +86,21 @@ FrameResult read_frame(int fd, std::string& out, std::size_t max_payload) {
                             (static_cast<std::size_t>(prefix[2]) << 16) |
                             (static_cast<std::size_t>(prefix[3]) << 24);
     if (len > max_payload) return FrameResult::kTooLarge;
-    out.resize(len);
-    if (len == 0) return FrameResult::kOk;
-    switch (read_all(fd, out.data(), len)) {
-        case ReadAll::kOk: return FrameResult::kOk;
-        case ReadAll::kEof: return FrameResult::kTruncated;
-        case ReadAll::kError: return FrameResult::kError;
+    // The declared length is the peer's claim, not bytes in hand: grow the
+    // buffer as the payload arrives, so memory tracks what was received
+    // (at most twice that, plus one chunk) instead of what was promised.
+    out.clear();
+    while (out.size() < len) {
+        const std::size_t have = out.size();
+        const std::size_t step = std::min(len - have, std::max(kFrameReadChunk, have));
+        out.resize(have + step);
+        switch (read_all(fd, out.data() + have, step)) {
+            case ReadAll::kOk: break;
+            case ReadAll::kEof: return FrameResult::kTruncated;
+            case ReadAll::kError: return FrameResult::kError;
+        }
     }
-    return FrameResult::kError;
+    return FrameResult::kOk;
 }
 
 namespace {

@@ -24,6 +24,11 @@ namespace kadsim::serve {
 /// million-node binary snapshot ingest.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
 
+/// read_frame's first buffer step. The payload buffer grows only as bytes
+/// arrive — by this much, then doubling — so a length prefix alone never
+/// allocates more than one chunk, while a frame up to this size is one read.
+inline constexpr std::size_t kFrameReadChunk = std::size_t{1} << 16;
+
 enum class FrameResult {
     kOk,
     kClosed,    ///< orderly EOF on the frame boundary

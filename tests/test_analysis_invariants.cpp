@@ -1,6 +1,7 @@
 // Analysis-layer invariants, property-tested across seeded graphs:
 //   * Whitney's chain κ(u,v) ≤ λ(u,v) ≤ min(out_degree(u), in_degree(v))
-//     per sampled pair;
+//     per sampled pair, and the combined κ/λ sweep — which settles λ by
+//     that chain — equal to the uncapped per-pair solvers;
 //   * SCC fraction ∈ [0,1], largest-SCC size monotone under vertex deletion;
 //   * articulation points matching an O(n·m) delete-and-recheck oracle;
 //   * the metric suite's determinism (pool fan-out vs inline) and its
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analysis/metrics.h"
@@ -17,6 +19,7 @@
 #include "flow/edge_connectivity.h"
 #include "flow/even_transform.h"
 #include "flow/sampling.h"
+#include "flow/sweep.h"
 #include "flow/vertex_connectivity.h"
 #include "graph/certificate.h"
 #include "graph/digraph.h"
@@ -96,6 +99,118 @@ TEST(AnalysisInvariants, KappaLambdaDegreeChainPerSampledPair) {
                         << "seed " << seed << " pair (" << u << "," << v << ")";
                 }
             }
+        }
+    }
+}
+
+// The combined sweep against the uncapped per-pair solvers over the same
+// sources: κ over non-adjacent sinks, λ over every sink. Sparse and denser
+// seeded graphs give adjacent sinks (λ work that κ cannot settle) and pairs
+// that end below their degree cap (λ work Whitney's chain cannot settle),
+// so every value the sweep settles by κ = bound — and every one it still
+// flows — is pinned against an independent computation. Inline and pooled
+// runs, and the single-metric entry points, must agree with it too.
+TEST(AnalysisInvariants, KappaLambdaSweepMatchesUncappedPerPairSolvers) {
+    exec::ThreadPool pool(3);
+    std::uint64_t adjacent_pairs = 0;
+    std::uint64_t below_cap_pairs = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const int n = 16 + static_cast<int>(seed % 7);
+        const int deg = 1 + static_cast<int>(seed % 4);
+        const graph::Digraph g = kademlia_like_graph(n, deg, seed * 977);
+        const std::vector<int> in_degrees = g.in_degrees();
+        const flow::FlowNetwork even_net = flow::even_transform(g);
+        flow::FlowWorkspace even_ws(even_net);
+        const flow::FlowNetwork unit_net = flow::unit_capacity_network(g);
+        flow::FlowWorkspace unit_ws(unit_net);
+
+        int kappa_min = std::numeric_limits<int>::max();
+        int lambda_min = std::numeric_limits<int>::max();
+        std::uint64_t kappa_sum = 0;
+        std::uint64_t lambda_sum = 0;
+        std::uint64_t kappa_pairs = 0;
+        std::uint64_t lambda_pairs = 0;
+        for (const int u : flow::pick_smallest_out_degree_sources(g, 0.25, 2)) {
+            for (int v = 0; v < n; ++v) {
+                if (v == u) continue;
+                const int lambda = flow::pair_edge_connectivity(g, unit_net, unit_ws, u, v);
+                lambda_min = std::min(lambda_min, lambda);
+                lambda_sum += static_cast<std::uint64_t>(lambda);
+                ++lambda_pairs;
+                if (g.has_edge(u, v)) {
+                    ++adjacent_pairs;
+                    continue;
+                }
+                const int kappa = flow::pair_vertex_connectivity(g, even_net, even_ws, u, v);
+                kappa_min = std::min(kappa_min, kappa);
+                kappa_sum += static_cast<std::uint64_t>(kappa);
+                ++kappa_pairs;
+                const int bound =
+                    std::min(g.out_degree(u), in_degrees[static_cast<std::size_t>(v)]);
+                if (kappa < bound) ++below_cap_pairs;
+            }
+        }
+
+        flow::ConnectivityOptions options;
+        options.sample_fraction = 0.25;
+        options.min_sources = 2;
+        const flow::KappaLambdaResult inline_r = flow::kappa_lambda_connectivity(g, options);
+        options.pool = &pool;
+        const flow::KappaLambdaResult pooled = flow::kappa_lambda_connectivity(g, options);
+        for (const flow::KappaLambdaResult* r : {&inline_r, &pooled}) {
+            EXPECT_EQ(r->kappa.kappa_min, kappa_min) << "seed " << seed;
+            EXPECT_EQ(r->kappa.kappa_sum, kappa_sum) << "seed " << seed;
+            EXPECT_EQ(r->kappa.pairs_evaluated, kappa_pairs) << "seed " << seed;
+            EXPECT_EQ(r->lambda.lambda_min, lambda_min) << "seed " << seed;
+            EXPECT_EQ(r->lambda.lambda_sum, lambda_sum) << "seed " << seed;
+            EXPECT_EQ(r->lambda.pairs_evaluated, lambda_pairs) << "seed " << seed;
+        }
+
+        const flow::ConnectivityResult kappa_only = flow::vertex_connectivity(g, options);
+        flow::EdgeConnectivityOptions lambda_options;
+        lambda_options.sample_fraction = 0.25;
+        lambda_options.min_sources = 2;
+        lambda_options.pool = &pool;
+        const flow::EdgeConnectivityResult lambda_only =
+            flow::edge_connectivity(g, lambda_options);
+        EXPECT_EQ(kappa_only.kappa_sum, kappa_sum) << "seed " << seed;
+        EXPECT_EQ(kappa_only.flows_capped, pooled.kappa.flows_capped) << "seed " << seed;
+        EXPECT_EQ(lambda_only.lambda_sum, lambda_sum) << "seed " << seed;
+        EXPECT_EQ(lambda_only.flows_capped, pooled.lambda.flows_capped) << "seed " << seed;
+        EXPECT_EQ(lambda_only.pairs_skipped, pooled.lambda.pairs_skipped) << "seed " << seed;
+    }
+    // The seeds must exercise both kinds of pair the Whitney settle skips.
+    EXPECT_GT(adjacent_pairs, 0u);
+    EXPECT_GT(below_cap_pairs, 0u);
+}
+
+// Dense graphs one edge short of complete: the only non-adjacent pair starts
+// at the vertex with the smallest out-degree, which is always the first
+// sampled source — so the sampled κ sweep never comes up without a pair,
+// however few sources it samples.
+TEST(AnalysisInvariants, SampledKappaFindsTheOnlyNonAdjacentPair) {
+    for (int n = 3; n <= 7; ++n) {
+        for (int missing = 0; missing < n; ++missing) {
+            const int target = (missing + 1) % n;
+            graph::Digraph g(n);
+            for (int u = 0; u < n; ++u) {
+                for (int v = 0; v < n; ++v) {
+                    if (u != v && !(u == missing && v == target)) g.add_edge(u, v);
+                }
+            }
+            g.finalize();
+            flow::ConnectivityOptions options;
+            options.sample_fraction = 0.01;
+            options.min_sources = 1;
+            const flow::KappaLambdaResult r = flow::kappa_lambda_connectivity(g, options);
+            EXPECT_EQ(r.kappa.sources_used, 1);
+            EXPECT_EQ(r.kappa.pairs_evaluated, 1u) << "n " << n;
+            // Every other vertex is a common neighbour: κ = n − 2 = the bound.
+            EXPECT_EQ(r.kappa.kappa_min, n - 2) << "n " << n;
+            EXPECT_EQ(r.kappa.kappa_min,
+                      flow::pair_vertex_connectivity_bruteforce(g, missing, target));
+            EXPECT_EQ(r.lambda.pairs_evaluated, static_cast<std::uint64_t>(n - 1));
+            EXPECT_EQ(r.lambda.lambda_min, n - 2) << "n " << n;
         }
     }
 }
@@ -219,7 +334,8 @@ TEST(AnalysisInvariants, BridgesAndArticulationOnKnownShapes) {
 }
 
 // The metric suite on a graph with known structure, inline vs pool fan-out:
-// identical values either way (the determinism contract).
+// identical values either way (the determinism contract). λ comes from the
+// κ/λ sweep, held to the same contract.
 TEST(AnalysisInvariants, MetricSuiteDeterministicAcrossExecutionModes) {
     // Bidirectional ring of 12 with a pendant vertex 12 attached to node 0:
     // one cut vertex (0), one bridge ({0,12}), λ_min = 1 via the pendant.
@@ -234,7 +350,8 @@ TEST(AnalysisInvariants, MetricSuiteDeterministicAcrossExecutionModes) {
 
     const MetricContext inline_context{g, 1.0, 1, nullptr};
     const ResilienceMetrics inline_metrics = run_metrics(inline_context);
-    EXPECT_EQ(inline_metrics.lambda_min, 1);   // pendant severed by one edge
+    const flow::KappaLambdaResult inline_flow = flow::kappa_lambda_connectivity(g, {});
+    EXPECT_EQ(inline_flow.lambda.lambda_min, 1);  // pendant severed by one edge
     EXPECT_EQ(inline_metrics.scc_count, 1);
     EXPECT_DOUBLE_EQ(inline_metrics.scc_frac, 1.0);
     EXPECT_DOUBLE_EQ(inline_metrics.wcc_frac, 1.0);
@@ -246,9 +363,13 @@ TEST(AnalysisInvariants, MetricSuiteDeterministicAcrossExecutionModes) {
     exec::ThreadPool pool(3);
     const MetricContext pooled_context{g, 1.0, 1, &pool};
     const ResilienceMetrics pooled = run_metrics(pooled_context);
+    flow::ConnectivityOptions pooled_options;
+    pooled_options.pool = &pool;
+    const flow::KappaLambdaResult pooled_flow =
+        flow::kappa_lambda_connectivity(g, pooled_options);
     EXPECT_EQ(pooled.scc_count, inline_metrics.scc_count);
-    EXPECT_EQ(pooled.lambda_min, inline_metrics.lambda_min);
-    EXPECT_DOUBLE_EQ(pooled.lambda_avg, inline_metrics.lambda_avg);
+    EXPECT_EQ(pooled_flow.lambda.lambda_min, inline_flow.lambda.lambda_min);
+    EXPECT_DOUBLE_EQ(pooled_flow.lambda.lambda_avg, inline_flow.lambda.lambda_avg);
     EXPECT_DOUBLE_EQ(pooled.scc_frac, inline_metrics.scc_frac);
     EXPECT_DOUBLE_EQ(pooled.wcc_frac, inline_metrics.wcc_frac);
     EXPECT_EQ(pooled.articulation_points, inline_metrics.articulation_points);
@@ -321,7 +442,9 @@ TEST(AnalysisInvariants, FragmentedGraphFractions) {
     g.finalize();
     const MetricContext context{g, 1.0, 1, nullptr};
     const ResilienceMetrics m = run_metrics(context);
-    EXPECT_EQ(m.lambda_min, 0);
+    const flow::KappaLambdaResult flows = flow::kappa_lambda_connectivity(g, {});
+    EXPECT_EQ(flows.kappa.kappa_min, 0);
+    EXPECT_EQ(flows.lambda.lambda_min, 0);
     EXPECT_EQ(m.scc_count, 3);  // two triangles plus the isolated vertex
     EXPECT_NEAR(m.scc_frac, 3.0 / 7.0, 1e-12);
     EXPECT_NEAR(m.wcc_frac, 3.0 / 7.0, 1e-12);

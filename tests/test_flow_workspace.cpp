@@ -10,7 +10,7 @@
 #include "flow/dinic.h"
 #include "flow/even_transform.h"
 #include "flow/flow_workspace.h"
-#include "flow/push_relabel.h"
+#include "flow/edmonds_karp.h"
 #include "flow/vertex_connectivity.h"
 #include "graph/digraph.h"
 #include "util/rng.h"
@@ -47,9 +47,9 @@ std::vector<std::pair<int, int>> non_adjacent_pairs(const graph::Digraph& g) {
 
 // ~100 seeded graphs: every non-adjacent pair must agree between the capped
 // Dinic running on ONE workspace reused via touched-arc resets and an exact
-// push-relabel on a fresh workspace per pair (no reset path at all). The
+// Edmonds–Karp on a fresh workspace per pair (no reset path at all). The
 // brute-force oracle double-checks a deterministic subset of pairs.
-TEST(FlowWorkspaceDifferential, TouchedArcDinicVsExactPushRelabelVsBruteforce) {
+TEST(FlowWorkspaceDifferential, TouchedArcDinicVsExactEdmondsKarpVsBruteforce) {
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         const int n = 6 + static_cast<int>(seed % 4);  // 6..9
         const graph::Digraph g = kademlia_like_graph(n, 2, seed);
@@ -57,7 +57,7 @@ TEST(FlowWorkspaceDifferential, TouchedArcDinicVsExactPushRelabelVsBruteforce) {
         const FlowNetwork net = even_transform(g);
         FlowWorkspace reused(net);
         Dinic dinic;
-        PushRelabel push_relabel;
+        EdmondsKarp edmonds_karp;
 
         const auto pairs = non_adjacent_pairs(g);
         for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -70,7 +70,7 @@ TEST(FlowWorkspaceDifferential, TouchedArcDinicVsExactPushRelabelVsBruteforce) {
 
             FlowWorkspace fresh(net);
             const int exact =
-                push_relabel.max_flow(fresh, out_vertex(u), in_vertex(v));
+                edmonds_karp.max_flow(fresh, out_vertex(u), in_vertex(v));
             EXPECT_EQ(capped, exact)
                 << "seed " << seed << " pair (" << u << "," << v << ")";
 

@@ -1,12 +1,11 @@
 // Max-flow solvers: known values, limits, workspace reuse, and the
-// cross-solver equality property (push-relabel ≡ Dinic ≡ Edmonds–Karp).
+// cross-solver equality property (Dinic ≡ Edmonds–Karp).
 #include <gtest/gtest.h>
 
 #include "flow/dinic.h"
 #include "flow/edmonds_karp.h"
 #include "flow/flow_network.h"
 #include "flow/flow_workspace.h"
-#include "flow/push_relabel.h"
 #include "util/rng.h"
 
 namespace kadsim::flow {
@@ -35,13 +34,6 @@ TEST(EdmondsKarp, DiamondValue) {
     const FlowNetwork net = diamond();
     FlowWorkspace ws(net);
     EdmondsKarp solver;
-    EXPECT_EQ(solver.max_flow(ws, 0, 3), 5);
-}
-
-TEST(PushRelabel, DiamondValue) {
-    const FlowNetwork net = diamond();
-    FlowWorkspace ws(net);
-    PushRelabel solver;
     EXPECT_EQ(solver.max_flow(ws, 0, 3), 5);
 }
 
@@ -155,23 +147,23 @@ TEST(Dinic, ParallelArcsAccumulate) {
     EXPECT_EQ(solver.max_flow(ws, 0, 1), 5);
 }
 
-TEST(PushRelabel, ZeroWhenSinkUnreachable) {
+TEST(EdmondsKarp, ZeroWhenSinkUnreachable) {
     FlowNetwork net(3);
     net.add_arc(1, 0, 4);  // wrong direction
     net.add_arc(1, 2, 4);
     net.finalize();
     FlowWorkspace ws(net);
-    PushRelabel solver;
+    EdmondsKarp solver;
     EXPECT_EQ(solver.max_flow(ws, 0, 2), 0);
 }
 
-TEST(PushRelabel, LongChain) {
+TEST(Dinic, LongChain) {
     const int n = 50;
     FlowNetwork net(n);
     for (int i = 0; i + 1 < n; ++i) net.add_arc(i, i + 1, 2 + (i % 3));
     net.finalize();
     FlowWorkspace ws(net);
-    PushRelabel solver;
+    Dinic solver;
     EXPECT_EQ(solver.max_flow(ws, 0, n - 1), 2);
 }
 
@@ -201,12 +193,10 @@ TEST_P(CrossSolverTest, AllSolversAgreeOnRandomGraphs) {
 
     Dinic dinic;
     EdmondsKarp ek;
-    PushRelabel pr;
     // One workspace per solver, shared across trials: exercises the
     // touched-arc reset path the connectivity sweep depends on.
     FlowWorkspace ws1(base);
     FlowWorkspace ws2(base);
-    FlowWorkspace ws3(base);
     for (int trial = 0; trial < 4; ++trial) {
         const int s = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
         int t = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
@@ -214,12 +204,9 @@ TEST_P(CrossSolverTest, AllSolversAgreeOnRandomGraphs) {
 
         ws1.reset();
         ws2.reset();
-        ws3.reset();
         const int f1 = dinic.max_flow(ws1, s, t);
         const int f2 = ek.max_flow(ws2, s, t);
-        const int f3 = pr.max_flow(ws3, s, t);
         EXPECT_EQ(f1, f2) << "dinic vs edmonds-karp, seed " << seed;
-        EXPECT_EQ(f1, f3) << "dinic vs push-relabel, seed " << seed;
     }
 }
 
@@ -229,10 +216,10 @@ TEST(CrossSolver, UnitCapacityDenseGraph) {
     util::Rng rng(999);
     const FlowNetwork base = random_network(rng, 30, 0.3, 1);
     Dinic dinic;
-    PushRelabel pr;
+    EdmondsKarp ek;
     FlowWorkspace a(base);
     FlowWorkspace b(base);
-    EXPECT_EQ(dinic.max_flow(a, 0, 29), pr.max_flow(b, 0, 29));
+    EXPECT_EQ(dinic.max_flow(a, 0, 29), ek.max_flow(b, 0, 29));
 }
 
 }  // namespace

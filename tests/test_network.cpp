@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "net/latency.h"
@@ -98,8 +99,15 @@ TEST(Network, CrashedSenderCannotTransmit) {
 
 struct LossCase {
     LossLevel level;
+    // Fills what would otherwise be padding. gtest prints a parameter that has
+    // no PrintTo as its raw bytes and gtest_discover_tests puts that print into
+    // the CTest name; uninitialized padding made those names change with the
+    // size of the process environment.
+    std::int32_t zero_fill;
     double expected_one_way;
 };
+static_assert(sizeof(LossCase) ==
+              sizeof(LossLevel) + sizeof(std::int32_t) + sizeof(double));
 
 class NetworkLossTest : public ::testing::TestWithParam<LossCase> {};
 
@@ -121,10 +129,10 @@ TEST_P(NetworkLossTest, EmpiricalLossMatchesTable1) {
 
 INSTANTIATE_TEST_SUITE_P(
     Table1, NetworkLossTest,
-    ::testing::Values(LossCase{LossLevel::kNone, 0.0},
-                      LossCase{LossLevel::kLow, 0.025},
-                      LossCase{LossLevel::kMedium, 0.134},
-                      LossCase{LossLevel::kHigh, 0.293}));
+    ::testing::Values(LossCase{LossLevel::kNone, 0, 0.0},
+                      LossCase{LossLevel::kLow, 0, 0.025},
+                      LossCase{LossLevel::kMedium, 0, 0.134},
+                      LossCase{LossLevel::kHigh, 0, 0.293}));
 
 TEST(Network, CountersAddUp) {
     sim::Simulator sim(10);

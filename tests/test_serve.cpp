@@ -92,7 +92,8 @@ TEST(Protocol, RoundTripsPayloadsIncludingEmptyAndBinary) {
     binary.push_back('\0');
     binary += "tail";
     for (const std::string& payload : {std::string("KAPPA latest"), std::string(),
-                                       binary, std::string(100000, 'x')}) {
+                                       binary, std::string(100000, 'x'),
+                                       std::string(300000, 'y')}) {
         std::thread writer(
             [&] { EXPECT_EQ(write_frame(fds.a, payload), FrameResult::kOk); });
         std::string got = "poisoned";
@@ -123,6 +124,20 @@ TEST(Protocol, MidFrameCloseReadsAsTruncated) {
     fds.a = -1;
     std::string got;
     EXPECT_EQ(read_frame(fds.b, got), FrameResult::kTruncated);
+}
+
+// A header alone claims an allowed but huge payload, then the peer closes:
+// the read fails as truncated having allocated at most one chunk, not the
+// claimed 256 MiB.
+TEST(Protocol, ClaimedLengthIsNotAllocatedBeforeBytesArrive) {
+    FdPair fds;
+    const unsigned char header[] = {0x00, 0x00, 0x00, 0x10};  // 256 MiB claim
+    ASSERT_EQ(::write(fds.a, header, sizeof header), static_cast<ssize_t>(sizeof header));
+    ::close(fds.a);
+    fds.a = -1;
+    std::string got;
+    EXPECT_EQ(read_frame(fds.b, got), FrameResult::kTruncated);
+    EXPECT_LE(got.capacity(), kFrameReadChunk);
 }
 
 TEST(Protocol, OversizedDeclaredLengthIsRejectedNotAllocated) {

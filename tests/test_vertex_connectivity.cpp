@@ -2,7 +2,13 @@
 // soundness (paper §4.4 and §5.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "exec/thread_pool.h"
+#include "flow/edmonds_karp.h"
+#include "flow/even_transform.h"
 #include "flow/vertex_connectivity.h"
 #include "graph/digraph.h"
 #include "util/rng.h"
@@ -265,24 +271,6 @@ TEST(VertexConnectivity, PoolIsReusableAcrossSnapshots) {
     }
 }
 
-TEST(VertexConnectivity, PushRelabelBackendMatchesDinic) {
-    util::Rng rng(46);
-    graph::Digraph g(14);
-    for (int u = 0; u < 14; ++u) {
-        for (int v = 0; v < 14; ++v) {
-            if (u != v && rng.next_bool(0.3)) g.add_edge(u, v);
-        }
-    }
-    g.finalize();
-    ConnectivityOptions dinic_opts;
-    ConnectivityOptions pr_opts;
-    pr_opts.use_push_relabel = true;
-    const auto a = vertex_connectivity(g, dinic_opts);
-    const auto b = vertex_connectivity(g, pr_opts);
-    EXPECT_EQ(a.kappa_min, b.kappa_min);
-    EXPECT_EQ(a.kappa_sum, b.kappa_sum);
-}
-
 TEST(VertexConnectivity, DisconnectedGraphHasKappaZero) {
     graph::Digraph g(6);
     g.add_edge(0, 1);
@@ -355,8 +343,9 @@ TEST(VertexConnectivity, DegreeBoundCapRecordsEarlyStopsAndStaysExact) {
     EXPECT_EQ(r.flows_capped, r.pairs_evaluated);
     EXPECT_EQ(r.pairs_skipped, 0u);
 
-    // Cross-check against the cap-free push-relabel backend on irregular
-    // random graphs: identical κ aggregates, counters only on the Dinic side.
+    // Cross-check against cap-free Edmonds–Karp on every non-adjacent pair
+    // of irregular random graphs: identical κ aggregates, and the sweep's
+    // skip count equals the pairs whose degree bound is 0.
     util::Rng rng(46);
     for (int trial = 0; trial < 5; ++trial) {
         graph::Digraph g(14);
@@ -367,14 +356,31 @@ TEST(VertexConnectivity, DegreeBoundCapRecordsEarlyStopsAndStaysExact) {
         }
         g.finalize();
         const auto dinic = vertex_connectivity(g);
-        ConnectivityOptions pr;
-        pr.use_push_relabel = true;
-        const auto hipr = vertex_connectivity(g, pr);
-        EXPECT_EQ(dinic.kappa_min, hipr.kappa_min);
-        EXPECT_EQ(dinic.kappa_sum, hipr.kappa_sum);
-        EXPECT_EQ(dinic.pairs_evaluated, hipr.pairs_evaluated);
-        EXPECT_EQ(hipr.flows_capped, 0u);
-        EXPECT_EQ(dinic.pairs_skipped, hipr.pairs_skipped);
+        const FlowNetwork net = even_transform(g);
+        const std::vector<int> in_degrees = g.in_degrees();
+        EdmondsKarp edmonds_karp;
+        int min = std::numeric_limits<int>::max();
+        std::uint64_t sum = 0;
+        std::uint64_t pairs = 0;
+        std::uint64_t zero_bound = 0;
+        for (int u = 0; u < 14; ++u) {
+            for (int v = 0; v < 14; ++v) {
+                if (u == v || g.has_edge(u, v)) continue;
+                FlowWorkspace fresh(net);
+                const int kappa =
+                    edmonds_karp.max_flow(fresh, out_vertex(u), in_vertex(v));
+                min = std::min(min, kappa);
+                sum += static_cast<std::uint64_t>(kappa);
+                ++pairs;
+                if (std::min(g.out_degree(u), in_degrees[static_cast<std::size_t>(v)]) == 0) {
+                    ++zero_bound;
+                }
+            }
+        }
+        EXPECT_EQ(dinic.kappa_min, min);
+        EXPECT_EQ(dinic.kappa_sum, sum);
+        EXPECT_EQ(dinic.pairs_evaluated, pairs);
+        EXPECT_EQ(dinic.pairs_skipped, zero_bound);
     }
 }
 
